@@ -5,21 +5,30 @@ figure/table of the paper (see DESIGN.md §4 for the index) and returns
 a tidy pandas DataFrame whose rows are what the paper plots. Jobs under
 ``jobs/`` print these; EXPERIMENTS.md records paper-vs-measured.
 
-All functions take the SparkSession first (trials are distributed via
-``experiments.harness``) plus knobs for scale / budgets / trial count,
-defaulting to bench-friendly values (paper: scale=1, 1000 trials).
+All functions take the SparkSession first plus knobs for scale /
+budgets / trial count, defaulting to bench-friendly values (paper:
+scale=1, 1000 trials). Each builds its list of conditions first and
+runs all of them in one ``experiments.harness.run_conditions`` call,
+which is one Spark job per table call.
 """
 from __future__ import annotations
 
-import numpy as np
 import pandas as pd
 from pyspark.sql import SparkSession
 
 from repro.core.groupby import build_groupby_data
-from repro.core.sampler import abae_trial
-from repro.core.stratify import strata_arrays
 from repro.experiments import metrics as M
-from repro.experiments.harness import estimates_matrix, run_group_trials, run_trials
+# run_trials / run_group_trials stay importable from this module, where
+# perfbench's traced run looks them up.
+from repro.experiments.harness import (  # noqa: F401
+    combined_condition,
+    estimates_matrix,
+    group_condition,
+    run_conditions,
+    run_group_trials,
+    run_trials,
+    scalar_condition,
+)
 from repro.simulate import datasets as D
 
 DEFAULT_BUDGETS = (2000, 4000, 6000, 8000, 10000)
@@ -59,6 +68,11 @@ def _scaled_budgets(budgets, scale: float) -> list[int]:
     return out
 
 
+def _run(spark, conds: dict) -> dict:
+    """Run a table's keyed conditions in one batch; frames by key."""
+    return dict(zip(conds, run_conditions(spark, list(conds.values()))))
+
+
 def _sweep(
     spark,
     names,
@@ -75,7 +89,7 @@ def _sweep(
 ):
     """Shared budget×dataset×method sweep; returns per-condition trial
     frames plus ground truths."""
-    out = {}
+    conds = {}
     truths = {}
     for name in names:
         ds = D.load(name, scale=scale)
@@ -86,8 +100,7 @@ def _sweep(
             eb = _effective_budget(len(ds.pdf), budget)
             for method in methods:
                 data = strata if method.startswith("abae") else pop
-                out[(name, budget, method)] = run_trials(
-                    spark,
+                conds[(name, budget, method)] = scalar_condition(
                     kind=method,
                     data=data,
                     n_budget=eb,
@@ -97,7 +110,7 @@ def _sweep(
                     with_ci=with_ci,
                     n_boot=n_boot,
                 )
-    return out, truths
+    return _run(spark, conds), truths
 
 
 def table_fig2(
@@ -236,26 +249,33 @@ def table_fig6(
         "night_street_multipred": D.night_street_multipred(scale=scale),
         "synthetic_multipred": D.synthetic_multipred(n=max(5000, int(50_000 * scale * 10))),
     }
-    rows = []
+    labels = ("uniform", "abae_single_proxy", "abae_multipred")
+    conds, truths = {}, {}
     for name, ds in sets.items():
-        truth = ds.ground_truth()
-        pop = ds.population()
-        strata_multi = ds.strata(k, proxy_col="proxy")       # combined score
-        strata_single = ds.strata(k, proxy_col="proxy_0")    # one predicate's proxy
+        truths[name] = ds.ground_truth()
+        data = {
+            "uniform": ds.population(),
+            "abae_single_proxy": ds.strata(k, proxy_col="proxy_0"),  # one predicate's proxy
+            "abae_multipred": ds.strata(k, proxy_col="proxy"),       # combined score
+        }
         for budget in budgets:
-            eb = _effective_budget(len(ds.pdf), budget)
-            e = {}
-            for label, kind, data in (
-                ("uniform", "uniform", pop),
-                ("abae_single_proxy", "abae", strata_single),
-                ("abae_multipred", "abae", strata_multi),
-            ):
-                t = run_trials(
-                    spark, kind=kind, data=data, n_budget=eb, n_trials=n_trials,
+            for label in labels:
+                conds[(name, budget, label)] = scalar_condition(
+                    kind="uniform" if label == "uniform" else "abae",
+                    data=data[label],
+                    n_budget=_effective_budget(len(ds.pdf), budget),
+                    n_trials=n_trials,
                     base_seed=seed + _cond_seed(name, budget, label),
                     stage1_frac=c,
                 )
-                e[label] = M.rmse(t["estimate"], truth)
+    trials = _run(spark, conds)
+    rows = []
+    for name in sets:
+        for budget in budgets:
+            e = {
+                label: M.rmse(trials[(name, budget, label)]["estimate"], truths[name])
+                for label in labels
+            }
             rows.append(
                 {
                     "table": "fig6", "dataset": name, "budget": budget,
@@ -274,26 +294,31 @@ def table_fig6(
 def _groupby_table(
     spark, table, sets, kind_abae, kind_uniform, norm_budgets, n_trials, k, c, seed
 ):
-    rows = []
+    conds = {}
     for name, ds in sets.items():
-        truths = ds.group_truths()
         data = build_groupby_data(ds.pdf, list(ds.proxy_cols), k)
         pop = (ds.pdf["value"].to_numpy(float), ds.pdf["group"].to_numpy())
         for nb in norm_budgets:
-            total = nb * ds.n_groups
-            total = _effective_budget(len(ds.pdf), total)
-            t_abae = run_group_trials(
-                spark, kind=kind_abae, data=data, n_budget=total,
+            total = _effective_budget(len(ds.pdf), nb * ds.n_groups)
+            conds[(name, nb, "a")] = group_condition(
+                kind=kind_abae, data=data, n_budget=total,
                 n_trials=n_trials, n_groups=ds.n_groups,
                 base_seed=seed + _cond_seed(name, nb, "a"), stage1_frac=c,
             )
-            t_uni = run_group_trials(
-                spark, kind=kind_uniform, data=pop, n_budget=total,
+            conds[(name, nb, "u")] = group_condition(
+                kind=kind_uniform, data=pop, n_budget=total,
                 n_trials=n_trials, n_groups=ds.n_groups,
                 base_seed=seed + _cond_seed(name, nb, "u"),
             )
-            m_abae = M.max_group_rmse(estimates_matrix(t_abae, ds.n_groups), truths)
-            m_uni = M.max_group_rmse(estimates_matrix(t_uni, ds.n_groups), truths)
+    trials = _run(spark, conds)
+    rows = []
+    for name, ds in sets.items():
+        truths = ds.group_truths()
+        for nb in norm_budgets:
+            m_abae, m_uni = (
+                M.max_group_rmse(estimates_matrix(trials[(name, nb, m)], ds.n_groups), truths)
+                for m in ("a", "u")
+            )
             rows.append(
                 {
                     "table": table, "dataset": name, "normalized_budget": nb,
@@ -385,6 +410,43 @@ def table_fig9(
     return pd.DataFrame(rows)
 
 
+def _sensitivity(spark, table, datasets, param, values, *, budget, scale,
+                 n_trials, k, c, seed):
+    """Figs. 10/11: ABAE RMSE as one knob (``param`` = "k" or "c") takes
+    each of ``values``, against a uniform baseline at the same budget."""
+    (budget,) = _scaled_budgets((budget,), scale)
+    conds, truths, budgets = {}, {}, {}
+    for name in datasets:
+        ds = D.load(name, scale=scale)
+        truths[name] = ds.ground_truth()
+        eb = budgets[name] = _effective_budget(len(ds.pdf), budget)
+        conds[(name, "u")] = scalar_condition(
+            kind="uniform", data=ds.population(), n_budget=eb,
+            n_trials=n_trials, base_seed=seed + _cond_seed(name, "u"),
+        )
+        strata = {kv: ds.strata(kv) for kv in (values if param == "k" else (k,))}
+        for v in values:
+            knobs = {"k": k, "c": c, param: v}
+            conds[(name, v)] = scalar_condition(
+                kind="abae", data=strata[knobs["k"]], n_budget=eb,
+                n_trials=n_trials, base_seed=seed + _cond_seed(name, v),
+                stage1_frac=knobs["c"],
+            )
+    trials = _run(spark, conds)
+    rows = []
+    for name in datasets:
+        r_uni = M.rmse(trials[(name, "u")]["estimate"], truths[name])
+        for v in values:
+            rows.append(
+                {
+                    "table": table, "dataset": name, param: v, "budget": budgets[name],
+                    "rmse_abae": M.rmse(trials[(name, v)]["estimate"], truths[name]),
+                    "rmse_uniform": r_uni,
+                }
+            )
+    return pd.DataFrame(rows)
+
+
 def table_fig10(
     spark: SparkSession,
     *,
@@ -397,31 +459,10 @@ def table_fig10(
     seed: int = 0,
 ) -> pd.DataFrame:
     """Fig. 10: sensitivity to the number of strata K (2–10)."""
-    (budget,) = _scaled_budgets((budget,), scale)
-    rows = []
-    for name in datasets:
-        ds = D.load(name, scale=scale)
-        truth = ds.ground_truth()
-        eb = _effective_budget(len(ds.pdf), budget)
-        t_uni = run_trials(
-            spark, kind="uniform", data=ds.population(), n_budget=eb,
-            n_trials=n_trials, base_seed=seed + _cond_seed(name, "u"),
-        )
-        r_uni = M.rmse(t_uni["estimate"], truth)
-        for k in ks:
-            t = run_trials(
-                spark, kind="abae", data=ds.strata(k), n_budget=eb,
-                n_trials=n_trials, base_seed=seed + _cond_seed(name, k),
-                stage1_frac=c,
-            )
-            rows.append(
-                {
-                    "table": "fig10", "dataset": name, "k": k, "budget": eb,
-                    "rmse_abae": M.rmse(t["estimate"], truth),
-                    "rmse_uniform": r_uni,
-                }
-            )
-    return pd.DataFrame(rows)
+    return _sensitivity(
+        spark, "fig10", datasets, "k", ks, budget=budget, scale=scale,
+        n_trials=n_trials, k=None, c=c, seed=seed,
+    )
 
 
 def table_fig11(
@@ -436,80 +477,33 @@ def table_fig11(
     seed: int = 0,
 ) -> pd.DataFrame:
     """Fig. 11: sensitivity to the Stage-1 budget fraction C."""
-    (budget,) = _scaled_budgets((budget,), scale)
-    rows = []
-    for name in datasets:
-        ds = D.load(name, scale=scale)
-        truth = ds.ground_truth()
-        strata = ds.strata(k)
-        eb = _effective_budget(len(ds.pdf), budget)
-        t_uni = run_trials(
-            spark, kind="uniform", data=ds.population(), n_budget=eb,
-            n_trials=n_trials, base_seed=seed + _cond_seed(name, "u"),
-        )
-        r_uni = M.rmse(t_uni["estimate"], truth)
-        for c in cs:
-            t = run_trials(
-                spark, kind="abae", data=strata, n_budget=eb,
-                n_trials=n_trials, base_seed=seed + _cond_seed(name, c),
-                stage1_frac=c,
-            )
-            rows.append(
-                {
-                    "table": "fig11", "dataset": name, "c": c, "budget": eb,
-                    "rmse_abae": M.rmse(t["estimate"], truth),
-                    "rmse_uniform": r_uni,
-                }
-            )
-    return pd.DataFrame(rows)
+    return _sensitivity(
+        spark, "fig11", datasets, "c", cs, budget=budget, scale=scale,
+        n_trials=n_trials, k=k, c=None, seed=seed,
+    )
 
 
-def _combined_proxy_trials(spark, ds, budget, n_trials, k, c, base_seed):
-    """Fig. 12 ABAE-with-combined-proxy trials: the pilot that fits the
-    logistic merge doubles as Stage 1 (§3.4 sample reuse); see
-    ``core.proxy_select.combined_proxy_trial``."""
-    from repro.core.proxy_select import combined_proxy_trial
-
+def _combined_payload(ds):
+    """(scores by proxy name, values, labels) for a combined-proxy trial."""
     pdf = ds.pdf
-    score_cols = [cname for cname in ds.proxy_cols if cname != "proxy"]
-    payload = (
-        {cname: pdf[cname].to_numpy(float) for cname in score_cols},
+    return (
+        {cname: pdf[cname].to_numpy(float) for cname in ds.proxy_cols if cname != "proxy"},
         pdf["value"].to_numpy(float),
         pdf["label"].to_numpy(),
     )
 
-    if spark is None:
-        rows = []
-        for i in range(n_trials):
-            rng = np.random.default_rng(base_seed + i)
-            rows.append(
-                (i, combined_proxy_trial(*payload, budget, rng, k=k, pilot_frac=c))
-            )
-        return pd.DataFrame(rows, columns=["trial", "estimate"])
 
-    bc = spark.sparkContext.broadcast(payload)
-
-    def worker(batches):
-        scores, values, labels = bc.value
-        for batch in batches:
-            rows = []
-            for seed in batch["id"]:
-                rng = np.random.default_rng(int(seed))
-                est = combined_proxy_trial(
-                    scores, values, labels, budget, rng, k=k, pilot_frac=c
-                )
-                rows.append((int(seed) - base_seed, est))
-            yield pd.DataFrame(rows, columns=["trial", "estimate"])
-
-    n_part = min(n_trials, max(2, spark.sparkContext.defaultParallelism))
-    out = (
-        spark.range(base_seed, base_seed + n_trials)
-        .repartition(n_part)
-        .mapInPandas(worker, schema="trial long, estimate double")
-        .toPandas()
+def _combined_proxy_trials(spark, ds, budget, n_trials, k, c, base_seed):
+    """Fig. 12 ABAE-with-combined-proxy trials of one condition, as
+    columns trial, estimate: the pilot that fits the logistic merge
+    doubles as Stage 1 (§3.4 sample reuse); see
+    ``core.proxy_select.combined_proxy_trial``."""
+    cond = combined_condition(
+        data=_combined_payload(ds), n_budget=budget, n_trials=n_trials, k=k,
+        pilot_frac=c, base_seed=base_seed,
     )
-    bc.unpersist()
-    return out
+    (out,) = run_conditions(spark, [cond])
+    return out[["trial", "estimate"]]
 
 
 def table_fig12(
@@ -530,33 +524,41 @@ def table_fig12(
         "trec05p_proxies": D.trec05p_proxies(scale=max(scale, 0.05)),
         "synthetic_combine": D.synthetic_combine(n=max(5000, int(50_000 * scale * 10))),
     }
+    conds = {}
+    for name, ds in sets.items():
+        pop = ds.population()
+        strata_single = ds.strata(k, proxy_col=ds.proxy_cols[1])
+        combined = _combined_payload(ds)
+        for budget in budgets:
+            eb = _effective_budget(len(ds.pdf), budget)
+            conds[(name, budget, "u")] = scalar_condition(
+                kind="uniform", data=pop, n_budget=eb, n_trials=n_trials,
+                base_seed=seed + _cond_seed(name, budget, "u"),
+            )
+            conds[(name, budget, "s")] = scalar_condition(
+                kind="abae", data=strata_single, n_budget=eb, n_trials=n_trials,
+                base_seed=seed + _cond_seed(name, budget, "s"), stage1_frac=c,
+            )
+            conds[(name, budget, "c")] = combined_condition(
+                data=combined, n_budget=eb, n_trials=n_trials, k=k, pilot_frac=c,
+                base_seed=seed + _cond_seed(name, budget, "c"),
+            )
+    trials = _run(spark, conds)
     rows = []
     for name, ds in sets.items():
         truth = ds.ground_truth()
-        pop = ds.population()
-        strata_single = ds.strata(k, proxy_col=ds.proxy_cols[1])
         for budget in budgets:
-            eb = _effective_budget(len(ds.pdf), budget)
-            t_uni = run_trials(
-                spark, kind="uniform", data=pop, n_budget=eb, n_trials=n_trials,
-                base_seed=seed + _cond_seed(name, budget, "u"),
-            )
-            t_single = run_trials(
-                spark, kind="abae", data=strata_single, n_budget=eb,
-                n_trials=n_trials,
-                base_seed=seed + _cond_seed(name, budget, "s"),
-                stage1_frac=c,
-            )
-            t_comb = _combined_proxy_trials(
-                spark, ds, eb, n_trials, k, c,
-                seed + _cond_seed(name, budget, "c"),
-            )
+            rmse = {
+                m: M.rmse(trials[(name, budget, m)]["estimate"], truth)
+                for m in ("u", "s", "c")
+            }
             rows.append(
                 {
-                    "table": "fig12", "dataset": name, "budget": eb,
-                    "rmse_uniform": M.rmse(t_uni["estimate"], truth),
-                    "rmse_abae_single": M.rmse(t_single["estimate"], truth),
-                    "rmse_abae_combined": M.rmse(t_comb["estimate"], truth),
+                    "table": "fig12", "dataset": name,
+                    "budget": _effective_budget(len(ds.pdf), budget),
+                    "rmse_uniform": rmse["u"],
+                    "rmse_abae_single": rmse["s"],
+                    "rmse_abae_combined": rmse["c"],
                 }
             )
     return pd.DataFrame(rows)

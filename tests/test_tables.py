@@ -3,9 +3,11 @@ runs end-to-end (tiny scale/trials) and reports the expected rows, and
 headline orderings hold where trials suffice."""
 from __future__ import annotations
 
+import pandas as pd
 import pytest
 
 from repro.experiments import tables as T
+from repro.simulate import datasets as D
 
 pytestmark = [pytest.mark.spark, pytest.mark.slow]
 
@@ -115,6 +117,20 @@ class TestFig12:
         assert set(t["dataset"]) == {"trec05p_proxies", "synthetic_combine"}
         for c in ("rmse_uniform", "rmse_abae_single", "rmse_abae_combined"):
             assert (t[c] > 0).all()
+
+    def test_combined_trials_spark_matches_local(self, spark):
+        """Combined-proxy trials come back sorted by trial, bit-identical
+        to the local loop."""
+        ds = D.synthetic_combine(n=5000)
+        loc, dist = (T._combined_proxy_trials(s, ds, 600, 24, 5, 0.5, 7)
+                     for s in (None, spark))
+        pd.testing.assert_frame_equal(loc, dist, check_exact=True)
+
+    def test_reruns_are_identical(self, spark):
+        """Sorted trials make the RMSE sum in a fixed order."""
+        a, b = (T.table_fig12(spark, budgets=(4000,), scale=0.02, n_trials=20)
+                for _ in range(2))
+        pd.testing.assert_frame_equal(a, b, check_exact=True)
 
 
 class TestTable2:
