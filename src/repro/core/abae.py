@@ -8,14 +8,21 @@ is the entire point of the paper. The dataflow is:
 1. ``add_stratum`` — exact proxy-quantile strata (Algorithm 1 Init).
 2. A deterministic per-stratum sampling order via ``xxhash64(id, seed)``
    ranked within each stratum (window partitioned by stratum ⇒ runs in
-   parallel across strata). One ordering serves both stages: Stage 1
-   takes ranks 1..N₁/K, Stage 2 takes the next ⌊N₂·T̂_k⌋ ranks — this
-   is sampling without replacement with sample reuse.
-3. Stage-1 plug-in estimates via ``groupBy(stratum).agg`` (K rows to
-   the driver), allocation by Proposition 1.
-4. Stage-2 filter + oracle, final per-stratum estimates, combined
-   answer; optional bootstrap CI (Algorithm 2) over the collected
-   sample values (≤ N rows).
+   parallel across strata). The ranked frame is persisted, so both
+   draws filter the cached ranking instead of recomputing it.
+3. ``sampler.two_stage`` — the same Algorithm 1 as the Monte-Carlo
+   kernel — drives the sampling. Each of its two draws filters every
+   stratum's next rank range (Stage 1 ranks 1..N₁/K, Stage 2 the next
+   ⌊N₂·T̂_k⌋ ranks: without replacement, with sample reuse), applies
+   the oracle UDF and collects the labelled rows, ordered by
+   (stratum, rank) so the answer does not depend on partitioning.
+4. The plug-in estimates, the allocation of Proposition 1 and the
+   combined answer are computed on the driver from the ≤ N collected
+   rows; optional bootstrap CI (Algorithm 2) over the same rows.
+
+Before each draw the driver checks the rows it is about to label
+against the oracle's budget, so an ``ORACLE LIMIT`` is refused before
+the UDF runs, not after.
 """
 from __future__ import annotations
 
@@ -26,10 +33,9 @@ from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 from pyspark.sql.window import Window
 
-from repro.core.allocation import optimal_allocation, stage2_counts
 from repro.core.bootstrap import bootstrap_ci
-from repro.core.estimator import combine
-from repro.core.sampler import split_budget
+from repro.core.estimator import plugin_estimates
+from repro.core.sampler import two_stage
 from repro.core.stratify import add_stratum
 from repro.simulate.oracles import SimulatedOracle
 
@@ -70,30 +76,36 @@ def _ranked(df: DataFrame, k: int, proxy_col: str, id_col: str, seed: int) -> Da
     return out.withColumn("_rank", F.row_number().over(w))
 
 
-def _strata_stats(labeled: DataFrame, value_col: str, k: int) -> tuple[np.ndarray, ...]:
-    """Per-stratum (n, n_pos, μ̂, σ̂) from an oracle-labeled sample."""
-    pos_val = F.when(F.col("oracle_label") == 1, F.col(value_col))
-    rows = (
-        labeled.groupBy("stratum")
-        .agg(
-            F.count(F.lit(1)).alias("n"),
-            F.sum("oracle_label").alias("n_pos"),
-            F.avg(pos_val).alias("mu"),
-            F.stddev_samp(pos_val).alias("sigma"),
+def _rank_drawer(ranked: DataFrame, k: int, oracle: SimulatedOracle, value_col: str):
+    """A ``two_stage`` drawer over ``_ranked``'s output: each call labels
+    the next ``counts[i]`` ranks of every stratum i, and only those."""
+    taken = np.zeros(k, dtype=np.int64)
+
+    def draw(counts):
+        counts = np.asarray(counts, dtype=np.int64)
+        oracle.check_budget(int(counts.sum()))
+        sel = F.lit(False)
+        for i in np.flatnonzero(counts):
+            sel = sel | (
+                (F.col("stratum") == int(i))
+                & F.col("_rank").between(int(taken[i]) + 1, int(taken[i] + counts[i]))
+            )
+        taken[:] += counts
+        pdf = (
+            oracle.apply(ranked.filter(sel))
+            .select("stratum", "_rank", value_col, "oracle_label")
+            .toPandas()
+            .sort_values(["stratum", "_rank"])
         )
-        .collect()
-    )
-    n = np.zeros(k)
-    n_pos = np.zeros(k)
-    mu = np.zeros(k)
-    sigma = np.zeros(k)
-    for r in rows:
-        s = int(r["stratum"])
-        n[s] = r["n"]
-        n_pos[s] = r["n_pos"] or 0
-        mu[s] = r["mu"] if r["mu"] is not None else 0.0
-        sigma[s] = r["sigma"] if r["sigma"] is not None else 0.0
-    return n, n_pos, mu, sigma
+        out = []
+        for i in range(k):
+            sub = pdf[pdf["stratum"] == i]
+            out.append(
+                (sub[value_col].to_numpy(dtype=float), sub["oracle_label"].to_numpy())
+            )
+        return out
+
+    return draw
 
 
 def abae_query(
@@ -115,63 +127,28 @@ def abae_query(
     """
     ranked = _ranked(df, k, proxy_col, id_col, seed).persist()
     try:
-        n1_per, n2 = split_budget(n_budget, k, stage1_frac)
-
-        # Persist the labeled Stage-1 sample: it is consumed twice (for
-        # the pilot stats and in the final union) and re-evaluating it
-        # would re-invoke the oracle — double-charging the budget.
-        stage1 = oracle.apply(ranked.filter(F.col("_rank") <= n1_per)).persist()
-        n1, n_pos1, _, sigma1 = _strata_stats(stage1, value_col, k)
-        p1 = np.divide(n_pos1, n1, out=np.zeros(k), where=n1 > 0)
-
-        t_hat = optimal_allocation(p1, sigma1)
-        extra = stage2_counts(t_hat, n2)
-
-        # rank ∈ (n1_per, n1_per + extra_k] per stratum.
-        limit_expr = F.lit(int(n1_per))
-        for i in range(k):
-            limit_expr = F.when(
-                F.col("stratum") == i, F.lit(int(n1_per + extra[i]))
-            ).otherwise(limit_expr)
-        stage2 = oracle.apply(
-            ranked.filter((F.col("_rank") > n1_per) & (F.col("_rank") <= limit_expr))
-        )
-
-        sampled = stage1.unionByName(stage2)
-        pdf = sampled.select("stratum", value_col, "oracle_label").toPandas()
-        stage1.unpersist()
-        samples = []
-        final_p = np.zeros(k)
-        final_mu = np.zeros(k)
-        final_sigma = np.zeros(k)
-        for i in range(k):
-            sub = pdf[pdf["stratum"] == i]
-            v = sub[value_col].to_numpy(dtype=float)
-            l = sub["oracle_label"].to_numpy()
-            samples.append((v, l))
-            pos = v[l == 1]
-            final_p[i] = pos.size / v.size if v.size else 0.0
-            final_mu[i] = float(pos.mean()) if pos.size else 0.0
-            final_sigma[i] = float(pos.std(ddof=1)) if pos.size > 1 else 0.0
-
-        est = combine(final_p, final_mu)
-        ci = None
-        if n_boot > 0:
-            ci = bootstrap_ci(
-                samples, np.random.default_rng(seed + 7), n_boot=n_boot, alpha=alpha
-            )
-        return ABAEQueryResult(
-            estimate=est,
-            ci=ci,
-            oracle_calls=oracle.calls,
-            p_hat=final_p,
-            mu_hat=final_mu,
-            sigma_hat=final_sigma,
-            allocation=t_hat,
-            samples=samples,
+        res = two_stage(
+            _rank_drawer(ranked, k, oracle, value_col), k, n_budget,
+            stage1_frac=stage1_frac,
         )
     finally:
         ranked.unpersist()
+    final = [plugin_estimates(v, l) for v, l in res.samples]
+    ci = None
+    if n_boot > 0:
+        ci = bootstrap_ci(
+            res.samples, np.random.default_rng(seed + 7), n_boot=n_boot, alpha=alpha
+        )
+    return ABAEQueryResult(
+        estimate=res.estimate,
+        ci=ci,
+        oracle_calls=oracle.calls,
+        p_hat=np.array([e.p_hat for e in final]),
+        mu_hat=np.array([e.mu_hat for e in final]),
+        sigma_hat=np.array([e.sigma_hat for e in final]),
+        allocation=res.allocation,
+        samples=res.samples,
+    )
 
 
 def uniform_query(
@@ -200,24 +177,23 @@ def uniform_query(
         df.withColumn("_rank", F.row_number().over(w))
         .filter(F.col("_rank") <= n_budget)
     )
-    labeled = oracle.apply(sampled)
-    pdf = labeled.select(value_col, "oracle_label").toPandas()
+    oracle.check_budget(n_budget)
+    pdf = oracle.apply(sampled).select(value_col, "oracle_label").toPandas()
     v = pdf[value_col].to_numpy(dtype=float)
     l = pdf["oracle_label"].to_numpy()
-    pos = v[l == 1]
-    est = float(pos.mean()) if pos.size else 0.0
+    est = plugin_estimates(v, l)
     ci = None
     if n_boot > 0:
         ci = bootstrap_ci(
             [(v, l)], np.random.default_rng(seed + 7), n_boot=n_boot, alpha=alpha
         )
     return ABAEQueryResult(
-        estimate=est,
+        estimate=est.mu_hat,
         ci=ci,
         oracle_calls=oracle.calls,
-        p_hat=np.array([pos.size / v.size if v.size else 0.0]),
-        mu_hat=np.array([est]),
-        sigma_hat=np.array([float(pos.std(ddof=1)) if pos.size > 1 else 0.0]),
+        p_hat=np.array([est.p_hat]),
+        mu_hat=np.array([est.mu_hat]),
+        sigma_hat=np.array([est.sigma_hat]),
         allocation=np.array([]),
         samples=[(v, l)],
     )

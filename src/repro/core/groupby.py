@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.allocation import mse_for_allocation, optimal_allocation
-from repro.core.estimator import combine
+from repro.core.estimator import combine, plugin_estimates
 from repro.optimize.nelder_mead import minimize_on_simplex
 
 
@@ -75,16 +75,6 @@ class GroupTrialResult:
     estimates: np.ndarray
     oracle_calls: int
     allocation: np.ndarray
-
-
-def _bin_estimates(vals: np.ndarray, grps: np.ndarray, g: int):
-    """(p̂, μ̂, σ̂) of group g within one sampled bin."""
-    n = vals.size
-    pos = vals[grps == g]
-    p = pos.size / n if n else 0.0
-    mu = float(pos.mean()) if pos.size else 0.0
-    sig = float(pos.std(ddof=1)) if pos.size > 1 else 0.0
-    return p, mu, sig, pos.size
 
 
 def _err_coef(p: np.ndarray, sigma: np.ndarray, t: np.ndarray) -> float:
@@ -156,7 +146,8 @@ def groupby_multi_trial(
         for ki, (vals, grps, _) in enumerate(data.strata[l]):
             take = perms[l][ki][: min(n1_per, vals.size)]
             calls += take.size
-            p1[l, ki], _, s1[l, ki], _ = _bin_estimates(vals[take], grps[take], l)
+            est = plugin_estimates(vals[take], grps[take] == l)
+            p1[l, ki], s1[l, ki] = est.p_hat, est.sigma_hat
         t_hats.append(optimal_allocation(p1[l], s1[l]))
         coefs[l] = _err_coef(p1[l], s1[l], t_hats[l])
 
@@ -174,7 +165,8 @@ def groupby_multi_trial(
             n2_i = min(int(extra[ki]), vals.size - n1_i)
             idx = perms[l][ki][: n1_i + n2_i]
             calls += n2_i
-            p_fin[ki], mu_fin[ki], _, _ = _bin_estimates(vals[idx], grps[idx], l)
+            est = plugin_estimates(vals[idx], grps[idx] == l)
+            p_fin[ki], mu_fin[ki] = est.p_hat, est.mu_hat
         estimates[l] = combine(p_fin, mu_fin)
     if oracle is not None:
         oracle._charge(calls)
@@ -210,9 +202,8 @@ def groupby_single_trial(
             take = perms[l][ki][: min(n1_per, vals.size)]
             seen.update(ids[take].tolist())
             for g in range(g_n):
-                p1[l, g, ki], _, s1[l, g, ki], _ = _bin_estimates(
-                    vals[take], grps[take], g
-                )
+                est = plugin_estimates(vals[take], grps[take] == g)
+                p1[l, g, ki], s1[l, g, ki] = est.p_hat, est.sigma_hat
 
     t_hats = [optimal_allocation(p1[l, l], s1[l, l]) for l in range(g_n)]
     coef_lg = np.zeros((g_n, g_n))
@@ -248,8 +239,8 @@ def groupby_single_trial(
     all_g = np.concatenate([gr for l in range(g_n) for (_, gr) in samp[l]])
     estimates = np.zeros(g_n)
     for g in range(g_n):
-        pos = all_v[all_g == g]
-        sig_g = float(pos.std(ddof=1)) if pos.size > 1 else 0.0
+        pooled = plugin_estimates(all_v, all_g == g)
+        sig_g = pooled.sigma_hat
         num = den = 0.0
         for l in range(g_n):
             p_f = np.zeros(k)
@@ -257,7 +248,8 @@ def groupby_single_trial(
             b_pos = np.zeros(k)
             for ki in range(k):
                 v, gr = samp[l][ki]
-                p_f[ki], mu_f[ki], _, b_pos[ki] = _bin_estimates(v, gr, g)
+                est = plugin_estimates(v, gr == g)
+                p_f[ki], mu_f[ki], b_pos[ki] = est.p_hat, est.mu_hat, est.n_pos
             p_all = p_f.sum()
             if p_all <= 0 or b_pos.sum() < 3 or sig_g <= 0:
                 continue
@@ -267,8 +259,8 @@ def groupby_single_trial(
             den += 1.0 / var_lg
         if den > 0:
             estimates[g] = num / den
-        elif sig_g == 0.0 and pos.size > 0:
-            estimates[g] = float(pos.mean())
+        elif sig_g == 0.0 and pooled.n_pos > 0:
+            estimates[g] = pooled.mu_hat
     if oracle is not None:
         oracle._charge(len(seen))
     return GroupTrialResult(
@@ -300,14 +292,12 @@ def groupby_uniform_trial(
         for g in range(n_groups):
             idx = rng.choice(values.size, size=min(per, values.size), replace=False)
             calls += idx.size
-            pos = values[idx][groups[idx] == g]
-            estimates[g] = float(pos.mean()) if pos.size else 0.0
+            estimates[g] = plugin_estimates(values[idx], groups[idx] == g).mu_hat
     else:
         idx = rng.choice(values.size, size=min(n_budget, values.size), replace=False)
         calls = idx.size
         for g in range(n_groups):
-            pos = values[idx][groups[idx] == g]
-            estimates[g] = float(pos.mean()) if pos.size else 0.0
+            estimates[g] = plugin_estimates(values[idx], groups[idx] == g).mu_hat
     return GroupTrialResult(
         estimates=estimates, oracle_calls=calls, allocation=np.array([])
     )

@@ -20,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.allocation import optimal_mse
-from repro.core.estimator import plugin_estimates
+from repro.core.allocation import optimal_allocation, optimal_mse, stage2_counts
+from repro.core.estimator import combine, plugin_estimates
 from repro.core.stratify import stratify_indices
 from repro.optimize.logistic import LogisticModel, fit_logistic
 
@@ -130,11 +130,6 @@ def combined_proxy_trial(
     Returns:
         The trial's estimate μ̂_all.
     """
-    from repro.core.allocation import optimal_allocation, stage2_counts
-    from repro.core.estimator import combine as _combine
-    from repro.core.estimator import plugin_estimates
-    from repro.core.stratify import stratify_indices
-
     values = np.asarray(values, dtype=float)
     labels = np.asarray(labels)
     n = values.size
@@ -166,4 +161,4 @@ def combined_proxy_trial(
         idx = np.concatenate([pilot_by_k[i], take])
         est = plugin_estimates(values[idx], labels[idx])
         final_p[i], final_mu[i] = est.p_hat, est.mu_hat
-    return _combine(final_p, final_mu)
+    return combine(final_p, final_mu)

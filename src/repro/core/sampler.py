@@ -1,26 +1,31 @@
-"""Two-stage ABAE sampling kernel and baselines (Algorithm 1).
+"""Two-stage ABAE sampling (Algorithm 1) and the Monte-Carlo baselines.
 
-This is the Monte-Carlo core shared by the experiment harness and the
-Spark query path. A trial operates on per-stratum ``(values, labels)``
-numpy arrays (see ``core.stratify.strata_arrays``):
+``two_stage`` is Algorithm 1, written once. It asks a *drawer* for
+records and does everything else on the driver:
 
-* Stage 1 draws N₁/K records per stratum uniformly without replacement
-  and forms plug-in estimates p̂_k, σ̂_k.
+* Stage 1 draws N₁/K records per stratum and forms plug-in estimates
+  p̂_k, σ̂_k (``estimator.plugin_estimates``).
 * Stage 2 draws ⌊N₂·T̂_k⌋ further records with T̂_k ∝ √p̂_k σ̂_k
-  (Proposition 1), without replacement across both stages.
+  (Proposition 1).
 * With sample reuse (the default, and critical per the Fig. 9 lesion),
   the final estimates use the union of both stages' draws.
 
-Without-replacement across stages is implemented with one random
-permutation per stratum per trial: Stage 1 takes the first ranks,
-Stage 2 the next ranks — the same ordering trick the Spark path uses
-with a seeded ``rand()`` rank.
+A drawer labels the next records of each stratum in that stratum's
+fixed sampling order, so the two stages never draw a record twice
+(sampling without replacement across stages). There are two drawers:
+
+* ``abae_trial`` (the Monte-Carlo kernel) walks one random permutation
+  per stratum of per-stratum ``(values, labels)`` numpy arrays (see
+  ``core.stratify.strata_arrays``).
+* ``core.abae.abae_query`` (the Spark query) walks a per-stratum
+  ``xxhash64(id, seed)`` rank and labels only the drawn rows.
 
 Baselines: ``uniform_trial`` (the paper's main comparison) and
 ``abae_trial(..., reuse=False)`` (the Fig. 9 lesion).
 """
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -62,6 +67,56 @@ def split_budget(n_budget: int, k: int, stage1_frac: float) -> tuple[int, int]:
     return n1_per, max(0, n2)
 
 
+def two_stage(
+    draw: Callable[[np.ndarray], list[tuple[np.ndarray, np.ndarray]]],
+    k: int,
+    n_budget: int,
+    *,
+    stage1_frac: float = 0.5,
+    reuse: bool = True,
+) -> TrialResult:
+    """Algorithm 1 (``ABAESample``) over K strata served by ``draw``.
+
+    Args:
+        draw: ``draw(counts)`` labels the next ``counts[i]`` records of
+            stratum i in that stratum's sampling order (fewer if the
+            stratum runs out) and returns per-stratum ``(values, labels)``.
+        k: number of strata K.
+        n_budget: total oracle budget N (the ``ORACLE LIMIT``).
+        stage1_frac: fraction C of budget given to Stage 1.
+        reuse: reuse Stage-1 samples in the final estimates (lesion
+            study disables this).
+
+    Raises:
+        ValueError: ``n_budget < k``. Stage 1 needs one draw per
+            stratum, so such a budget cannot be kept; nothing is drawn.
+    """
+    if n_budget < k:
+        raise ValueError(
+            f"oracle budget {n_budget} is below K={k}: Stage 1 needs a draw per stratum"
+        )
+    n1_per, n2 = split_budget(n_budget, k, stage1_frac)
+    first = draw(np.full(k, n1_per, dtype=np.int64))
+    stage1 = [plugin_estimates(v, l) for v, l in first]
+    t_hat = optimal_allocation(
+        np.array([e.p_hat for e in stage1]), np.array([e.sigma_hat for e in stage1])
+    )
+    second = draw(stage2_counts(t_hat, n2))
+
+    samples = [
+        (np.concatenate([v1, v2]), np.concatenate([l1, l2]))
+        for (v1, l1), (v2, l2) in zip(first, second)
+    ]
+    final = [plugin_estimates(*s) for s in (samples if reuse else second)]
+    return TrialResult(
+        estimate=combine([e.p_hat for e in final], [e.mu_hat for e in final]),
+        oracle_calls=sum(v.size for v, _ in samples),
+        samples=samples,
+        stage1=stage1,
+        allocation=t_hat,
+    )
+
+
 def abae_trial(
     strata: list[tuple[np.ndarray, np.ndarray]],
     n_budget: int,
@@ -71,7 +126,9 @@ def abae_trial(
     reuse: bool = True,
     oracle=None,
 ) -> TrialResult:
-    """Run one ABAE trial (Algorithm 1, ``ABAESample``).
+    """Run one ABAE trial (Algorithm 1, ``ABAESample``) on numpy strata.
+
+    Each stratum's sampling order is one permutation drawn from ``rng``.
 
     Args:
         strata: per-stratum (values, labels) arrays.
@@ -82,48 +139,19 @@ def abae_trial(
             study disables this).
         oracle: optional ``SimulatedOracle`` to charge invocations to.
     """
-    k = len(strata)
-    n1_per, n2 = split_budget(n_budget, k, stage1_frac)
+    perms = [rng.permutation(vals.size) for vals, _ in strata]
+    taken = [0] * len(strata)
 
-    perms = []
-    stage1_ests: list[StratumEstimate] = []
-    for vals, labs in strata:
-        perm = rng.permutation(vals.size)
-        perms.append(perm)
-        take = perm[: min(n1_per, vals.size)]
-        stage1_ests.append(plugin_estimates(vals[take], labs[take]))
+    def draw(counts):
+        out = []
+        for i, (vals, labs) in enumerate(strata):
+            idx = perms[i][taken[i] : taken[i] + counts[i]]
+            taken[i] += idx.size
+            labels = labs[idx] if oracle is None else oracle.call(labs[idx])
+            out.append((vals[idx], labels))
+        return out
 
-    p1 = np.array([e.p_hat for e in stage1_ests])
-    s1 = np.array([e.sigma_hat for e in stage1_ests])
-    t_hat = optimal_allocation(p1, s1)
-    extra = stage2_counts(t_hat, n2)
-
-    samples: list[tuple[np.ndarray, np.ndarray]] = []
-    final_p = np.zeros(k)
-    final_mu = np.zeros(k)
-    calls = 0
-    for i, (vals, labs) in enumerate(strata):
-        n1_i = min(n1_per, vals.size)
-        n2_i = min(int(extra[i]), vals.size - n1_i)
-        idx_all = perms[i][: n1_i + n2_i]
-        calls += idx_all.size
-        v_all, l_all = vals[idx_all], labs[idx_all]
-        if oracle is not None:
-            l_all = oracle.call(l_all)
-        samples.append((v_all, l_all))
-        if reuse:
-            est = plugin_estimates(v_all, l_all)
-        else:
-            est = plugin_estimates(v_all[n1_i:], l_all[n1_i:])
-        final_p[i], final_mu[i] = est.p_hat, est.mu_hat
-
-    return TrialResult(
-        estimate=combine(final_p, final_mu),
-        oracle_calls=calls,
-        samples=samples,
-        stage1=stage1_ests,
-        allocation=t_hat,
-    )
+    return two_stage(draw, len(strata), n_budget, stage1_frac=stage1_frac, reuse=reuse)
 
 
 def uniform_trial(

@@ -2,8 +2,9 @@
 
 Each ``table_*`` function reproduces the numbers behind one evaluation
 figure/table of the paper (see DESIGN.md §4 for the index) and returns
-a tidy pandas DataFrame whose rows are what the paper plots. Jobs under
-``jobs/`` print these; EXPERIMENTS.md records paper-vs-measured.
+a tidy pandas DataFrame whose rows are what the paper plots.
+``jobs/run.py --table <name>`` prints one; EXPERIMENTS.md records
+paper-vs-measured.
 
 All functions take the SparkSession first plus knobs for scale /
 budgets / trial count, defaulting to bench-friendly values (paper:

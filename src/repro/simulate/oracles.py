@@ -54,6 +54,15 @@ class SimulatedOracle:
         self._charge(values.size)
         return values
 
+    def check_budget(self, n: int) -> None:
+        """Raise BudgetExceededError if ``n`` more calls would exceed the
+        budget. The Spark path calls this on the driver before the UDF
+        runs, since its accumulator only counts calls already made."""
+        if self.budget is not None and self.calls + n > self.budget:
+            raise BudgetExceededError(
+                f"oracle would exceed budget: {self.calls} + {n} > {self.budget}"
+            )
+
     def _charge(self, n: int) -> None:
         self._count += int(n)
         if self.budget is not None and self.calls > self.budget:

@@ -110,6 +110,19 @@ class TestAbaeTrial:
         res = abae_trial(strata, 60, np.random.default_rng(0))
         assert res.estimate == 0.0
 
+    def test_budget_below_k_raises_before_any_call(self, night_street):
+        """Stage 1 needs one draw per stratum, so N < K cannot be kept:
+        refuse before the oracle is called, not after spending K calls."""
+        oracle = SimulatedOracle()
+        with pytest.raises(ValueError, match="below K"):
+            abae_trial(night_street.strata(5), 3, np.random.default_rng(0), oracle=oracle)
+        assert oracle.calls == 0
+
+    def test_budget_equal_to_k_is_kept(self, night_street):
+        oracle = SimulatedOracle()
+        res = abae_trial(night_street.strata(5), 5, np.random.default_rng(0), oracle=oracle)
+        assert res.oracle_calls == oracle.calls <= 5
+
 
 class TestUniformTrial:
     def test_budget(self, toy_strata):

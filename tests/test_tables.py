@@ -3,6 +3,9 @@ runs end-to-end (tiny scale/trials) and reports the expected rows, and
 headline orderings hold where trials suffice."""
 from __future__ import annotations
 
+import importlib.util
+import pathlib
+
 import pandas as pd
 import pytest
 
@@ -139,3 +142,25 @@ class TestTable2:
         assert len(t) == 6
         assert (t["surrogate_size"] <= t["paper_size"]).all()
         assert t["positive_rate"].between(0.01, 0.5).all()
+
+
+class TestJobEntrypoint:
+    """``jobs/run.py`` is the one entrypoint for every table."""
+
+    @pytest.fixture(scope="class")
+    def job(self):
+        path = pathlib.Path(__file__).resolve().parent.parent / "jobs" / "run.py"
+        spec = importlib.util.spec_from_file_location("jobs_run", path)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        return module
+
+    def test_every_table_function_has_a_key(self, job):
+        table_fns = {getattr(T, n) for n in dir(T) if n.startswith("table")}
+        assert {fn for fn, _ in job.TABLES.values()} == table_fns
+
+    def test_table2_runs_without_spark(self, job, capsys):
+        job.main(["--table", "table2", "--scale", "0.01"])
+        out = capsys.readouterr().out
+        assert "=== Table 2 — dataset inventory ===" in out
+        assert "night_street" in out
